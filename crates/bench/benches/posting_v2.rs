@@ -1,33 +1,29 @@
-//! Posting-format experiment: v1 fixed-width rows vs v2 delta/varint
-//! blocks over the Figure-2 synthetic replicas.
-//!
-//! Two questions, matching the acceptance bar for the v2 format:
+//! Posting-row experiment: v2 delta/varint blocks over the Figure-2
+//! synthetic replicas, against the fixed-width v1 record size.
 //!
 //! 1. **Size** — how many Index-table bytes does the block-compressed
-//!    format save on the paper's synthetic datasets? (Target: ≥ 2x.)
-//! 2. **Latency** — is STNM detection over a v2-indexed store no slower
-//!    than over v1? The seek-capable cursor must pay for its varint
-//!    decoding with the smaller rows it reads.
+//!    format save on the paper's synthetic datasets? v1 spends exactly
+//!    [`POSTING_RECORD_BYTES`] per posting, so its column is computed,
+//!    not indexed.
+//! 2. **Latency** — cold (cache disabled) and warm STNM detection over a
+//!    v2 store, the per-kernel decode throughput, and the candidate-join
+//!    ablation (probe cascade vs bitmap intersection).
 //!
 //! Alongside the criterion output the bench writes a machine-readable
 //! baseline to `results_posting_v2.json` at the workspace root (next to
-//! the other `results_*` files) recording per-profile Index-table bytes
-//! under both formats, the compression ratio, median cold/warm STNM
-//! detect nanoseconds per query batch under both formats, per-kernel
-//! decode throughput (million postings/sec), and the candidate-join
-//! ablation (probe cascade vs bitmap intersection).
+//! the other `results_*` files).
 //!
-//! The baseline run also *asserts* the acceptance bar: v2 cold detection
-//! must not be slower than v1 cold, and every profile's compression ratio
-//! must stay ≥ 5x — a regression fails the bench run, not just a reader
-//! squinting at the JSON.
+//! The baseline run also *asserts* the acceptance bars: every profile's
+//! compression ratio must stay ≥ 5x, and the candidate-join orderings
+//! `CandidateJoin::Auto` relies on must hold — a regression fails the
+//! bench run, not just a reader squinting at the JSON.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use seqdet_core::postings::encode_postings_v2;
-use seqdet_core::tables::Posting;
+use seqdet_core::tables::{Posting, POSTING_RECORD_BYTES};
 use seqdet_core::{
     active_decode_kind, v2_decode_with_kind, DecodeKind, DecodeScratch, IndexConfig, IndexStats,
-    Indexer, Policy, PostingFormat,
+    Indexer, Policy,
 };
 use seqdet_datagen::patterns::{pattern_batch, PatternMode};
 use seqdet_datagen::DatasetProfile;
@@ -40,9 +36,8 @@ use std::time::{Duration, Instant};
 /// large pair-density regimes.
 const PROFILES: &[(&str, usize)] = &[("bpi_2013", 20), ("bpi_2020", 20), ("bpi_2017", 50)];
 
-fn indexed(log: &EventLog, format: PostingFormat) -> (QueryEngine<MemStore>, IndexStats) {
-    let mut ix =
-        Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(format));
+fn indexed(log: &EventLog) -> (QueryEngine<MemStore>, IndexStats) {
+    let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
     ix.index_log(log).expect("valid log");
     let stats = IndexStats::collect(ix.store().as_ref()).expect("stats collect");
     (QueryEngine::new(ix.store()).expect("indexed store"), stats)
@@ -60,15 +55,11 @@ fn bench_posting_v2(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let log = DatasetProfile::by_name("bpi_2017").expect("profile exists").scaled(50).generate();
     let batch = pattern_batch(&log, 8, 25, PatternMode::Random, 13);
-    for format in [PostingFormat::V1, PostingFormat::V2] {
-        let (engine, _) = indexed(&log, format);
-        run_batch(&engine, &batch); // pre-warm the posting cache
-        group.bench_with_input(
-            BenchmarkId::new("stnm_detect", format.name()),
-            &batch,
-            |b, batch| b.iter(|| run_batch(&engine, batch)),
-        );
-    }
+    let (engine, _) = indexed(&log);
+    run_batch(&engine, &batch); // pre-warm the posting cache
+    group.bench_with_input(BenchmarkId::new("stnm_detect", "v2"), &batch, |b, batch| {
+        b.iter(|| run_batch(&engine, batch))
+    });
     group.finish();
 }
 
@@ -89,75 +80,58 @@ fn median_ns(samples: usize, mut f: impl FnMut() -> usize) -> u64 {
 fn write_baseline() {
     let mut entries = Vec::new();
 
-    // Size: Index-table bytes under both formats, per Figure-2 replica.
+    // Size: v2 Index-table bytes per Figure-2 replica, against the exact
+    // v1 size of the same postings.
     let mut min_ratio = f64::INFINITY;
     for &(name, scale) in PROFILES {
         let log = DatasetProfile::by_name(name).expect("profile exists").scaled(scale).generate();
-        let (_, v1) = indexed(&log, PostingFormat::V1);
-        let (_, v2) = indexed(&log, PostingFormat::V2);
-        let ratio = v1.index_bytes as f64 / v2.index_bytes.max(1) as f64;
+        let (_, v2) = indexed(&log);
+        let v1_bytes = v2.postings * POSTING_RECORD_BYTES;
+        let ratio = v1_bytes as f64 / v2.index_bytes.max(1) as f64;
         min_ratio = min_ratio.min(ratio);
         println!(
-            "posting_v2/{name}: index bytes v1 {} v2 {} ({ratio:.2}x smaller), {} postings",
-            v1.index_bytes, v2.index_bytes, v1.postings
+            "posting_v2/{name}: index bytes v1 {v1_bytes} v2 {} ({ratio:.2}x smaller), {} postings",
+            v2.index_bytes, v2.postings
         );
         entries.push(format!(
-            "  \"{name}\": {{\"postings\": {}, \"index_bytes_v1\": {}, \
+            "  \"{name}\": {{\"postings\": {}, \"index_bytes_v1\": {v1_bytes}, \
              \"index_bytes_v2\": {}, \"bytes_ratio\": {ratio:.3}}}",
-            v1.postings, v1.index_bytes, v2.index_bytes
+            v2.postings, v2.index_bytes
         ));
     }
 
-    // Latency: STNM detect over the same store indexed both ways, cold
-    // (cache disabled: the full cursor-decode path) and warm (cached).
-    // The four engine configurations are sampled interleaved so clock
-    // drift over the measurement window biases them all equally — the
-    // cold-regression assertion below compares v1 and v2 medians directly.
+    // Latency: STNM detect cold (cache disabled: the full decode path) and
+    // warm (cached), sampled interleaved so clock drift over the
+    // measurement window biases both equally.
     let log = DatasetProfile::by_name("bpi_2017").expect("profile exists").scaled(50).generate();
     let batch = pattern_batch(&log, 8, 25, PatternMode::Random, 13);
-    let engines: Vec<(PostingFormat, QueryEngine<MemStore>, QueryEngine<MemStore>)> =
-        [PostingFormat::V1, PostingFormat::V2]
-            .into_iter()
-            .map(|format| {
-                let (warm, _) = indexed(&log, format);
-                let cold = indexed(&log, format).0.with_cache_capacity(0);
-                run_batch(&warm, &batch); // pre-warm
-                run_batch(&cold, &batch); // fault in lazily touched rows
-                (format, warm, cold)
-            })
-            .collect();
-    let mut samples: Vec<[Vec<u64>; 2]> = vec![Default::default(); engines.len()];
+    let (warm, _) = indexed(&log);
+    let cold = indexed(&log).0.with_cache_capacity(0);
+    run_batch(&warm, &batch); // pre-warm
+    run_batch(&cold, &batch); // fault in lazily touched rows
+    let mut times: [Vec<u64>; 2] = Default::default();
     for _ in 0..15 {
-        for (times, (_, warm, cold)) in samples.iter_mut().zip(&engines) {
+        for (samples, engine) in times.iter_mut().zip([&cold, &warm]) {
             let t = Instant::now();
-            std::hint::black_box(run_batch(cold, &batch));
-            times[0].push(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            std::hint::black_box(run_batch(warm, &batch));
-            times[1].push(t.elapsed().as_nanos() as u64);
+            std::hint::black_box(run_batch(engine, &batch));
+            samples.push(t.elapsed().as_nanos() as u64);
         }
     }
-    let mut cold_by_format = Vec::new();
-    for (times, (format, _, _)) in samples.iter_mut().zip(&engines) {
-        times[0].sort_unstable();
-        times[1].sort_unstable();
-        let (cold_ns, warm_ns) = (times[0][times[0].len() / 2], times[1][times[1].len() / 2]);
-        println!("posting_v2/stnm_detect/{}: cold {cold_ns} ns, warm {warm_ns} ns", format.name());
-        cold_by_format.push(cold_ns);
-        entries.push(format!(
-            "  \"stnm_detect_{}\": {{\"cold_ns\": {cold_ns}, \"warm_ns\": {warm_ns}}}",
-            format.name()
-        ));
-    }
+    let [cold_ns, warm_ns] = times.map(|mut samples| {
+        samples.sort_unstable();
+        samples[samples.len() / 2]
+    });
+    println!("posting_v2/stnm_detect/v2: cold {cold_ns} ns, warm {warm_ns} ns");
+    entries
+        .push(format!("  \"stnm_detect_v2\": {{\"cold_ns\": {cold_ns}, \"warm_ns\": {warm_ns}}}"));
 
     // Candidate-join ablation: the same v2 store and batch under a forced
     // probe cascade vs forced bitmap intersection (`Auto` takes the probe
     // cascade until the bitmaps are cache-resident, then the intersection).
     let mut join_ns = Vec::new();
     for (name, join) in [("probe", CandidateJoin::Probe), ("bitmap", CandidateJoin::Bitmap)] {
-        let warm = indexed(&log, PostingFormat::V2).0.with_candidate_join(join);
-        let cold =
-            indexed(&log, PostingFormat::V2).0.with_candidate_join(join).with_cache_capacity(0);
+        let warm = indexed(&log).0.with_candidate_join(join);
+        let cold = indexed(&log).0.with_candidate_join(join).with_cache_capacity(0);
         run_batch(&warm, &batch);
         run_batch(&cold, &batch);
         let cold_ns = median_ns(15, || run_batch(&cold, &batch));
@@ -193,14 +167,8 @@ fn write_baseline() {
     }
 
     // Acceptance bar (asserted after the JSON lands so the numbers are
-    // inspectable even when a regression fails the run): the wide decode
-    // kernel must have paid for v2's varint rows — cold v2 detection may
-    // not be slower than cold v1 — and compression must hold ≥ 5x.
-    let (v1_cold, v2_cold) = (cold_by_format[0], cold_by_format[1]);
-    assert!(
-        v2_cold <= v1_cold,
-        "v2 cold detect regressed: {v2_cold} ns vs v1 {v1_cold} ns (see {path})"
-    );
+    // inspectable even when a regression fails the run): compression must
+    // hold ≥ 5x.
     assert!(min_ratio >= 5.0, "v2 compression below the 5x bar: {min_ratio:.3}x (see {path})");
 
     // The candidate-join orderings `CandidateJoin::Auto` is built on: cold,
@@ -238,18 +206,14 @@ fn decode_throughput() -> Vec<(&'static str, f64)> {
         })
         .collect();
     let row = encode_postings_v2(&postings);
-    let kinds = [
-        ("scalar", DecodeKind::Scalar),
-        ("branchless", DecodeKind::Branchless),
-        ("simd", DecodeKind::Simd),
-    ];
+    let kinds = DecodeKind::ALL;
     let mut out = Vec::with_capacity(postings.len());
     let mut scratch = DecodeScratch::new();
     // Samples are interleaved across kinds so clock-frequency drift during
     // the run biases every kind equally instead of whichever ran last.
-    let mut times: [Vec<u64>; 3] = Default::default();
+    let mut times: [Vec<u64>; 2] = Default::default();
     for _ in 0..25 {
-        for (k, &(_, kind)) in kinds.iter().enumerate() {
+        for (k, &kind) in kinds.iter().enumerate() {
             let t = Instant::now();
             for _ in 0..REPS {
                 out.clear();
@@ -263,7 +227,8 @@ fn decode_throughput() -> Vec<(&'static str, f64)> {
     kinds
         .iter()
         .zip(&mut times)
-        .map(|(&(name, _), samples)| {
+        .map(|(kind, samples)| {
+            let name = kind.name();
             samples.sort_unstable();
             let ns = samples[samples.len() / 2];
             let mps = (postings.len() * REPS) as f64 * 1e3 / ns as f64;

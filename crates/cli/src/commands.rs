@@ -27,7 +27,6 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             threads,
             partition_period,
             durability,
-            posting_format,
             retain_segments,
         } => {
             let log = load_log(&input)?;
@@ -35,12 +34,9 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             if let Some(p) = partition_period {
                 cfg = cfg.with_partition_period(p);
             }
-            if let Some(f) = posting_format {
-                cfg = cfg.with_posting_format(f);
-            }
             let disk = Arc::new(open_store(&store, durability, None, retain_segments)?);
             let mut indexer = Indexer::with_store(disk.clone(), cfg)?;
-            // The config (and posting format) is persisted now — runs
+            // The config is persisted now — runs
             // written by size-triggered compaction get real zone maps.
             seqdet_core::install_zone_extractor(&disk);
             let start = std::time::Instant::now();
@@ -60,7 +56,6 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let disk = Arc::new(DiskStore::open(&store)?);
             let engine = QueryEngine::new(disk.clone())?;
             println!("store: {store}");
-            println!("posting format: {}", seqdet_core::posting_format(disk.as_ref()).name());
             println!("activities: {}", engine.catalog().num_activities());
             println!("traces: {}", engine.catalog().num_traces());
             let stats = seqdet_core::IndexStats::collect(disk.as_ref())?;

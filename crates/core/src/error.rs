@@ -22,6 +22,13 @@ pub enum CoreError {
         /// Configuration requested by the caller.
         requested: String,
     },
+    /// The store's `Index` rows are not in the v2 posting format: `Meta`
+    /// records another format, or (`None`) holds an index config without a
+    /// format key, as v1 stores from before the key did.
+    UnsupportedPostingFormat {
+        /// The format the store records, if any.
+        recorded: Option<String>,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// The persistent store refused or failed a write (I/O failure,
@@ -39,6 +46,15 @@ impl fmt::Display for CoreError {
             CoreError::ConfigMismatch { stored, requested } => write!(
                 f,
                 "index config mismatch: store holds {stored}, caller requested {requested}"
+            ),
+            CoreError::UnsupportedPostingFormat { recorded: Some(format) } => write!(
+                f,
+                "unsupported posting format: store records {format:?}, only \"v2\" is readable"
+            ),
+            CoreError::UnsupportedPostingFormat { recorded: None } => write!(
+                f,
+                "unsupported posting format: store records none (a v1 store from before the \
+                 format key), only \"v2\" is readable"
             ),
             CoreError::Io(e) => write!(f, "io error: {e}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
@@ -93,6 +109,10 @@ mod tests {
         assert!(e.to_string().contains("Index"));
         let e = CoreError::ConfigMismatch { stored: "SC".into(), requested: "STNM".into() };
         assert!(e.to_string().contains("SC") && e.to_string().contains("STNM"));
+        let e = CoreError::UnsupportedPostingFormat { recorded: Some("v1".into()) };
+        assert!(e.to_string().contains("\"v1\""), "{e}");
+        let e = CoreError::UnsupportedPostingFormat { recorded: None };
+        assert!(e.to_string().contains("records none"), "{e}");
         let e = CoreError::from(std::io::Error::other("x"));
         assert!(e.to_string().contains("io error"));
         let e = CoreError::from(seqdet_storage::StorageError::Degraded { reason: "w".into() });

@@ -23,9 +23,10 @@
 //!   parallelized per trace; plus the §3.1.3 extensions (period partitioning
 //!   of the `Index` table, pruning of completed traces).
 //! * [`postings`] — the block-compressed v2 `Index` row format (delta +
-//!   varint packing with a per-row skip directory) and the seekable,
-//!   format-dispatching posting cursors. The fixed-width v1 codec in
-//!   [`tables`] stays as the differential-testing oracle.
+//!   varint packing with a per-chunk block directory), the only encoding a
+//!   store holds, and its scalar reference decoder; [`decode`] is the wide
+//!   kernel the query path runs. The fixed-width v1 codec in [`tables`]
+//!   stays as the differential-testing oracle.
 
 pub mod audit;
 pub mod catalog;
@@ -46,11 +47,10 @@ pub use decode::{
 };
 pub use error::CoreError;
 pub use indexer::{
-    index_generation, index_policy, posting_format, IndexConfig, Indexer, UpdateStats,
+    check_posting_format, index_generation, index_policy, IndexConfig, Indexer, UpdateStats,
 };
 pub use pairs::{create_pairs, PairKey, TracePairs};
 pub use policy::{Policy, StnmMethod};
-pub use postings::{IndexPostingCursor, PostingCursorV2, PostingFormat};
 pub use stats::IndexStats;
 pub use zones::{install_zone_extractor, TableZones};
 

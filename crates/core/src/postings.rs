@@ -1,11 +1,11 @@
-//! Block-compressed (v2) `Index` posting rows with seekable cursors.
+//! Block-compressed (v2) `Index` posting rows.
 //!
-//! The v1 row format (`tables::encode_postings`) spends a fixed 20 bytes per
-//! posting. Pair postings are monotone-per-trace and written trace-sorted by
-//! the indexer, so the classic inverted-index layout — delta encoding +
-//! varints in fixed-size blocks, with a skip directory per row — compresses
-//! them several-fold *and* lets a reader jump over whole blocks when looking
-//! for a trace (`seek`), instead of linearly decoding everything before it.
+//! The fixed-width v1 layout (`tables::encode_postings`) spends 20 bytes
+//! per posting. Pair postings are monotone-per-trace and written
+//! trace-sorted by the indexer, so the classic inverted-index layout —
+//! delta encoding + varints in fixed-size blocks, with a directory per
+//! chunk — compresses them several-fold, and the directory lets every
+//! reader check each block's bounds and trace range as it decodes.
 //!
 //! ## Row layout
 //!
@@ -17,12 +17,12 @@
 //!          [varint num_postings]           postings in this chunk (≥ 1)
 //!          [varint num_blocks]             directory entries (≥ 1)
 //!          [varint body_len]               bytes of block bodies
-//!          directory × num_blocks          skip directory
+//!          directory × num_blocks          block directory
 //!          body      × body_len            delta/varint-packed postings
 //!
 //! directory entry (per block):
 //!          [varint first_trace]            trace of the block's 1st posting
-//!          [varint max_trace − first_trace] upper bound for seek-skip
+//!          [varint max_trace − first_trace] largest trace in the block
 //!          [varint offset_delta]           body offset − previous offset
 //!                                          (first entry stores offset 0)
 //!          [varint count]                  postings in the block (≥ 1)
@@ -35,28 +35,28 @@
 //! bit-exactly — including unsorted traces and duplicate trace ids. Block
 //! size is [`V2_BLOCK_POSTINGS`] postings.
 //!
-//! ## Versioning and compatibility
+//! ## One format, two oracles
 //!
-//! A store's posting format is a persisted configuration
-//! ([`PostingFormat`], resolved like the policy: sticky after the first
-//! write), **not** sniffed per row — a v1 row may legitimately start with
-//! the byte `0xF2`. Stores created before the format key exist read as v1,
-//! so old segments replay unchanged. `tables::decode_postings` (v1) remains
-//! the reference oracle: the property suites assert the v2 round-trip
-//! against it, and the auditor cross-checks every decoded v2 row against a
-//! v1 re-encode.
+//! v2 is the only `Index` row encoding a store is written or read in.
+//! Stores record it as `config:posting_format = v2` in `Meta`; a store
+//! recording anything else, or an index config without the key, is refused
+//! at open ([`crate::indexer::check_posting_format`]) and never decoded as
+//! v2 — a v1 row may legitimately start with the byte `0xF2`. Two oracles
+//! stay beside the serving decoder in [`crate::decode`]: the scalar
+//! [`decode_postings_v2`], and the v1 codec (`tables::encode_postings` /
+//! `decode_postings`) that the property suites and the auditor's
+//! re-encode cross-check hold every decoded v2 row against.
 
 use crate::error::CoreError;
-use crate::tables::{Posting, PostingCursor};
+use crate::tables::Posting;
 use crate::Result;
-use bytes::Bytes;
 use seqdet_log::TraceId;
 use seqdet_storage::codec::{Dec, Enc};
 
 /// Version tag opening every v2 chunk.
 pub const V2_TAG: u8 = 0xF2;
 
-/// Postings per compressed block (the skip-directory granularity).
+/// Postings per compressed block (the directory granularity).
 pub const V2_BLOCK_POSTINGS: usize = 128;
 
 /// Minimum encoded bytes per posting (three single-byte varints) — the
@@ -64,41 +64,12 @@ pub const V2_BLOCK_POSTINGS: usize = 128;
 /// fit their byte span.
 const MIN_POSTING_BYTES: usize = 3;
 
-/// On-disk encoding of `Index` posting rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PostingFormat {
-    /// Fixed 20-byte `(trace, ts_a, ts_b)` records (the original layout).
-    V1,
-    /// Block-compressed chunks with a per-chunk skip directory.
-    #[default]
-    V2,
-}
-
-impl PostingFormat {
-    /// Stable name, as persisted in `Meta` and accepted by the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            PostingFormat::V1 => "v1",
-            PostingFormat::V2 => "v2",
-        }
-    }
-
-    /// Inverse of [`PostingFormat::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "v1" => Some(PostingFormat::V1),
-            "v2" => Some(PostingFormat::V2),
-            _ => None,
-        }
-    }
-}
-
 /// How a v2 row failed validation. [`decode_postings_v2`] folds both cases
 /// into [`CoreError::Corrupt`]; the auditor keeps them apart so a torn or
-/// inconsistent skip directory gets its own finding.
+/// inconsistent block directory gets its own finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum V2RowError {
-    /// The chunk header or skip directory is truncated, non-monotone, out
+    /// The chunk header or block directory is truncated, non-monotone, out
     /// of bounds, or inconsistent with the posting counts.
     TornDirectory(String),
     /// A block body failed to decode (truncated varint, trace overflow, or
@@ -175,8 +146,8 @@ pub fn encode_postings_v2(postings: &[Posting]) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// One parsed skip-directory entry: the block's byte range within the body
-/// plus the seek bounds.
+/// One parsed directory entry: the block's byte range within the body
+/// plus its trace bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DirEntry {
     pub(crate) first_trace: u32,
@@ -312,42 +283,64 @@ fn decode_block(
     Ok(out)
 }
 
-/// Decode a whole v2 `Index` row (any number of appended chunks). The
-/// inverse of [`encode_postings_v2`] — equal, posting for posting, to what
-/// [`crate::tables::decode_postings`] returns for the v1 encoding of the
-/// same list (the oracle relation the property suite pins down).
-pub fn decode_postings_v2(row: &[u8]) -> Result<Vec<Posting>> {
+/// Check a decoded block against its directory entry: the entry's first
+/// and max trace must be the block's. Shared by every decoder, so a torn
+/// directory is reported the same way whichever kernel read the row.
+pub(crate) fn check_block_keys(
+    entry: DirEntry,
+    block: &[Posting],
+) -> std::result::Result<(), V2RowError> {
+    if let Some(first) = block.first() {
+        if first.trace.0 != entry.first_trace {
+            return torn(format!(
+                "directory first-trace {} disagrees with block ({})",
+                entry.first_trace, first.trace.0
+            ));
+        }
+    }
+    match block.iter().map(|p| p.trace.0).max() {
+        Some(max) if max != entry.max_trace => {
+            torn(format!("directory max-trace {} disagrees with block ({max})", entry.max_trace))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Scalar whole-row walk behind [`decode_postings_v2`] and
+/// [`validate_v2_row`]; `sorted_keys` adds the indexer's sorted-first-key
+/// invariant on top of the codec's own checks.
+fn decode_row(row: &[u8], sorted_keys: bool) -> std::result::Result<Vec<Posting>, V2RowError> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos < row.len() {
         let chunk = parse_chunk(row, pos)?;
         out.reserve(chunk.num_postings);
-        let body = &row[chunk.body_start..chunk.body_end];
+        let Some(body) = row.get(chunk.body_start..chunk.body_end) else {
+            return torn("truncated chunk body");
+        };
+        let mut prev_first: Option<u32> = None;
         for (i, &entry) in chunk.directory.iter().enumerate() {
+            if sorted_keys && prev_first.is_some_and(|p| entry.first_trace < p) {
+                return torn(format!("directory first-keys not sorted at entry {i}"));
+            }
+            prev_first = Some(entry.first_trace);
             let decoded = decode_block(body, entry, block_end(&chunk, i))?;
-            if let Some(first) = decoded.first() {
-                if first.trace.0 != entry.first_trace {
-                    return Err(V2RowError::TornDirectory(format!(
-                        "directory first-trace {} disagrees with block ({})",
-                        entry.first_trace, first.trace.0
-                    ))
-                    .into());
-                }
-            }
-            if let Some(max) = decoded.iter().map(|p| p.trace.0).max() {
-                if max != entry.max_trace {
-                    return Err(V2RowError::TornDirectory(format!(
-                        "directory max-trace {} disagrees with block ({max})",
-                        entry.max_trace
-                    ))
-                    .into());
-                }
-            }
+            check_block_keys(entry, &decoded)?;
             out.extend(decoded);
         }
         pos = chunk.next_chunk;
     }
     Ok(out)
+}
+
+/// Decode a whole v2 `Index` row (any number of appended chunks) — the
+/// scalar reference decoder the wide kernel in [`crate::decode`] is held
+/// to. The inverse of [`encode_postings_v2`], and equal, posting for
+/// posting, to what [`crate::tables::decode_postings`] returns for the v1
+/// encoding of the same list (the oracle relation the property suite pins
+/// down).
+pub fn decode_postings_v2(row: &[u8]) -> Result<Vec<Posting>> {
+    Ok(decode_row(row, false)?)
 }
 
 /// Validate a v2 row the way the auditor needs it: every directory
@@ -357,313 +350,7 @@ pub fn decode_postings_v2(row: &[u8]) -> Result<Vec<Posting>> {
 /// Returns the decoded postings so callers audit content without a second
 /// decode pass.
 pub fn validate_v2_row(row: &[u8]) -> std::result::Result<Vec<Posting>, V2RowError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < row.len() {
-        let chunk = parse_chunk(row, pos)?;
-        let body = &row[chunk.body_start..chunk.body_end];
-        let mut prev_first: Option<u32> = None;
-        for (i, &entry) in chunk.directory.iter().enumerate() {
-            if prev_first.is_some_and(|p| entry.first_trace < p) {
-                return torn(format!("directory first-keys not sorted at entry {i}"));
-            }
-            prev_first = Some(entry.first_trace);
-            let decoded = decode_block(body, entry, block_end(&chunk, i))?;
-            match decoded.first() {
-                Some(first) if first.trace.0 != entry.first_trace => {
-                    return torn(format!(
-                        "directory first-trace {} disagrees with block ({})",
-                        entry.first_trace, first.trace.0
-                    ));
-                }
-                _ => {}
-            }
-            match decoded.iter().map(|p| p.trace.0).max() {
-                Some(max) if max != entry.max_trace => {
-                    return torn(format!(
-                        "directory max-trace {} disagrees with block ({max})",
-                        entry.max_trace
-                    ));
-                }
-                _ => {}
-            }
-            out.extend(decoded);
-        }
-        pos = chunk.next_chunk;
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Seekable cursor
-// ---------------------------------------------------------------------------
-
-/// Progress through one block's body bytes.
-#[derive(Debug, Clone)]
-struct BlockState {
-    entry: DirEntry,
-    /// Next unread byte, relative to the chunk body.
-    at: usize,
-    /// End of the block, relative to the chunk body.
-    end: usize,
-    /// Postings already yielded from this block.
-    yielded: usize,
-    prev_trace: u32,
-    prev_ts_a: u64,
-}
-
-/// Zero-copy streaming cursor over a v2 `Index` row.
-///
-/// Iterates postings in stored order, like [`PostingCursor`] does for v1
-/// rows; a torn row yields one `Err` and then terminates. The extra power
-/// is [`PostingCursorV2::seek`]: advancing to the next posting with
-/// `trace >= t` *skips whole blocks* via the chunk skip directories —
-/// blocks whose directory `max_trace` is below `t` are never decoded.
-#[derive(Debug, Clone)]
-pub struct PostingCursorV2 {
-    row: Bytes,
-    /// Offset of the next unparsed chunk.
-    pos: usize,
-    chunk: Option<Chunk>,
-    /// Index of the current block within the current chunk.
-    block_idx: usize,
-    block: Option<BlockState>,
-    /// A posting decoded by `seek` but not yet handed out.
-    pending: Option<Posting>,
-    failed: bool,
-}
-
-impl PostingCursorV2 {
-    /// Cursor over a raw v2 `Index` row.
-    pub fn new(row: Bytes) -> Self {
-        PostingCursorV2 {
-            row,
-            pos: 0,
-            chunk: None,
-            block_idx: 0,
-            block: None,
-            pending: None,
-            failed: false,
-        }
-    }
-
-    /// Cursor over no postings.
-    pub fn empty() -> Self {
-        Self::new(Bytes::new())
-    }
-
-    fn fail(&mut self, e: V2RowError) -> Option<Result<Posting>> {
-        self.failed = true;
-        Some(Err(e.into()))
-    }
-
-    /// Enter the next block that has postings left, parsing the next chunk
-    /// when the current one is exhausted. `Ok(false)` means end of row.
-    fn advance(&mut self) -> std::result::Result<bool, V2RowError> {
-        loop {
-            if let Some(b) = &self.block {
-                if b.yielded < b.entry.count {
-                    return Ok(true);
-                }
-                self.block = None;
-                self.block_idx += 1;
-            }
-            if let Some(chunk) = &self.chunk {
-                if let Some(&entry) = chunk.directory.get(self.block_idx) {
-                    let end = block_end(chunk, self.block_idx);
-                    self.block = Some(BlockState {
-                        entry,
-                        at: entry.offset,
-                        end,
-                        yielded: 0,
-                        prev_trace: 0,
-                        prev_ts_a: 0,
-                    });
-                    continue;
-                }
-                self.pos = chunk.next_chunk;
-                self.chunk = None;
-                self.block_idx = 0;
-            }
-            if self.pos >= self.row.len() {
-                return Ok(false);
-            }
-            self.chunk = Some(parse_chunk(&self.row, self.pos)?);
-        }
-    }
-
-    /// Decode the next posting of the current block (which must exist and
-    /// have postings left).
-    fn decode_next(&mut self) -> std::result::Result<Posting, V2RowError> {
-        // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a chunk; an unreachable-state guard, not an input check.
-        let chunk = self.chunk.as_ref().expect("advance() parsed a chunk");
-        // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a block; an unreachable-state guard, not an input check.
-        let block = self.block.as_mut().expect("advance() entered a block");
-        let body = &self.row[chunk.body_start..chunk.body_end];
-        let mut d = Dec::new(&body[block.at..block.end]);
-        let before = d.remaining();
-        let (Some(dt), Some(da), Some(db)) =
-            (d.varint_signed(), d.varint_signed(), d.varint_signed())
-        else {
-            return bad(format!("posting {} of a block is truncated", block.yielded))?;
-        };
-        let Some(trace) =
-            (block.prev_trace as i64).checked_add(dt).and_then(|t| u32::try_from(t).ok())
-        else {
-            return bad(format!("posting {}: trace delta leaves the u32 range", block.yielded))?;
-        };
-        let ts_a = block.prev_ts_a.wrapping_add(da as u64);
-        let ts_b = ts_a.wrapping_add(db as u64);
-        block.at += before - d.remaining();
-        block.yielded += 1;
-        block.prev_trace = trace;
-        block.prev_ts_a = ts_a;
-        if block.yielded == block.entry.count && block.at != block.end {
-            return bad("block does not end at the next directory offset")?;
-        }
-        Ok(Posting { trace: TraceId(trace), ts_a, ts_b })
-    }
-
-    /// Advance the cursor so the next yielded posting is the first one *in
-    /// stored order, at or after the current position* with `trace >= t`.
-    /// Blocks whose directory upper bound is below `t` are skipped without
-    /// decoding; returns the posting (also re-yielded by the following
-    /// `next()` call — `seek` positions, it does not consume). `None` when
-    /// no such posting remains.
-    pub fn seek(&mut self, t: TraceId) -> Option<Result<Posting>> {
-        if let Some(p) = self.pending {
-            if p.trace >= t {
-                return Some(Ok(p));
-            }
-            self.pending = None;
-        }
-        if self.failed {
-            return None;
-        }
-        loop {
-            match self.advance() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => return self.fail(e),
-            }
-            {
-                // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a current block; unreachable-state guard.
-                let block = self.block.as_ref().expect("advance() entered a block");
-                // The whole block is below the seek key: skip it undecoded.
-                // (Only valid from the block's start — mid-block the delta
-                // chain is already partially consumed.)
-                if block.yielded == 0 && block.entry.max_trace < t.0 {
-                    // xtask-lint: allow(no-panic): block was just borrowed from self.block; unreachable-state guard.
-                    let b = self.block.as_mut().expect("current block exists");
-                    b.yielded = b.entry.count;
-                    b.at = b.end;
-                    continue;
-                }
-            }
-            match self.decode_next() {
-                Ok(p) if p.trace >= t => {
-                    self.pending = Some(p);
-                    return Some(Ok(p));
-                }
-                Ok(_) => continue,
-                Err(e) => return self.fail(e),
-            }
-        }
-    }
-}
-
-impl Iterator for PostingCursorV2 {
-    type Item = Result<Posting>;
-
-    fn next(&mut self) -> Option<Result<Posting>> {
-        if let Some(p) = self.pending.take() {
-            return Some(Ok(p));
-        }
-        if self.failed {
-            return None;
-        }
-        match self.advance() {
-            Ok(true) => {}
-            Ok(false) => return None,
-            Err(e) => return self.fail(e),
-        }
-        match self.decode_next() {
-            Ok(p) => Some(Ok(p)),
-            Err(e) => self.fail(e),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Format dispatch
-// ---------------------------------------------------------------------------
-
-/// A posting cursor over either row format. Readers that hold the store's
-/// resolved [`PostingFormat`] use this to stay format-agnostic.
-#[derive(Debug, Clone)]
-pub enum IndexPostingCursor {
-    /// Fixed-width v1 records.
-    V1(PostingCursor),
-    /// Block-compressed v2 chunks.
-    V2(PostingCursorV2),
-}
-
-impl IndexPostingCursor {
-    /// Cursor over a raw row of the given format.
-    pub fn over(format: PostingFormat, row: Bytes) -> Self {
-        match format {
-            PostingFormat::V1 => IndexPostingCursor::V1(PostingCursor::new(row)),
-            PostingFormat::V2 => IndexPostingCursor::V2(PostingCursorV2::new(row)),
-        }
-    }
-
-    /// Cursor over no postings.
-    pub fn empty(format: PostingFormat) -> Self {
-        Self::over(format, Bytes::new())
-    }
-
-    /// Advance to the next posting with `trace >= t` (stored order); see
-    /// [`PostingCursor::seek`] / [`PostingCursorV2::seek`].
-    pub fn seek(&mut self, t: TraceId) -> Option<Result<Posting>> {
-        match self {
-            IndexPostingCursor::V1(c) => c.seek(t),
-            IndexPostingCursor::V2(c) => c.seek(t),
-        }
-    }
-}
-
-impl Iterator for IndexPostingCursor {
-    type Item = Result<Posting>;
-
-    fn next(&mut self) -> Option<Result<Posting>> {
-        match self {
-            IndexPostingCursor::V1(c) => c.next(),
-            IndexPostingCursor::V2(c) => c.next(),
-        }
-    }
-}
-
-/// Decode a whole `Index` row of the given format — the format-dispatching
-/// sibling of [`crate::tables::decode_postings`].
-pub fn decode_index_row(format: PostingFormat, row: &[u8]) -> Result<Vec<Posting>> {
-    match format {
-        PostingFormat::V1 => crate::tables::decode_postings(row),
-        PostingFormat::V2 => decode_postings_v2(row),
-    }
-}
-
-/// Open a format-aware cursor over the postings of `key` in one `Index`
-/// table; a missing row behaves as an empty posting list.
-pub fn index_posting_cursor<S: seqdet_storage::KvStore>(
-    store: &S,
-    format: PostingFormat,
-    table: seqdet_storage::TableId,
-    key: crate::pairs::PairKey,
-) -> IndexPostingCursor {
-    match store.get(table, &crate::tables::pair_key_bytes(key)) {
-        Some(row) => IndexPostingCursor::over(format, row),
-        None => IndexPostingCursor::empty(format),
-    }
+    decode_row(row, true)
 }
 
 #[cfg(test)]
@@ -727,46 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_yields_same_postings_as_decode() {
-        let list: Vec<Posting> = (0..300).map(|i| p(i / 3, i as u64, i as u64 + 1)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        let via_cursor: Vec<Posting> =
-            PostingCursorV2::new(row.clone()).map(|r| r.unwrap()).collect();
-        assert_eq!(via_cursor, decode_postings_v2(&row).unwrap());
-        assert_eq!(PostingCursorV2::empty().count(), 0);
-    }
-
-    #[test]
-    fn seek_lands_on_first_posting_at_or_after_key() {
-        let list: Vec<Posting> = (0..400).map(|i| p(i * 2, i as u64, i as u64 + 1)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        for key in [0u32, 1, 2, 255, 256, 500, 798] {
-            let mut c = PostingCursorV2::new(row.clone());
-            let got = c.seek(TraceId(key)).unwrap().unwrap();
-            let want = list.iter().find(|p| p.trace.0 >= key).copied().unwrap();
-            assert_eq!(got, want, "seek({key})");
-            // seek positions without consuming: next() re-yields it.
-            assert_eq!(c.next().unwrap().unwrap(), want);
-        }
-        let mut c = PostingCursorV2::new(row.clone());
-        assert!(c.seek(TraceId(799)).is_none(), "past the last trace");
-        assert!(c.next().is_none());
-    }
-
-    #[test]
-    fn seek_is_monotone_and_resumable() {
-        let list: Vec<Posting> = (0..300).map(|i| p(i, 1, 2)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        let mut c = PostingCursorV2::new(row);
-        assert_eq!(c.seek(TraceId(10)).unwrap().unwrap().trace, TraceId(10));
-        assert_eq!(c.next().unwrap().unwrap().trace, TraceId(10));
-        assert_eq!(c.next().unwrap().unwrap().trace, TraceId(11));
-        // Seeking below the current position does not rewind.
-        assert_eq!(c.seek(TraceId(0)).unwrap().unwrap().trace, TraceId(12));
-        assert_eq!(c.seek(TraceId(250)).unwrap().unwrap().trace, TraceId(250));
-    }
-
-    #[test]
     fn v1_tagged_garbage_is_a_typed_error() {
         // A v1 row whose first trace is ≡ V2_TAG mod 256 would mis-sniff —
         // which is why the format is persisted config, not sniffed. Fed to
@@ -801,30 +448,5 @@ mod tests {
         assert!(
             matches!(validate_v2_row(&row), Err(V2RowError::TornDirectory(m)) if m.contains("not sorted"))
         );
-    }
-
-    #[test]
-    fn format_names_roundtrip() {
-        for f in [PostingFormat::V1, PostingFormat::V2] {
-            assert_eq!(PostingFormat::from_name(f.name()), Some(f));
-        }
-        assert_eq!(PostingFormat::from_name("v3"), None);
-        assert_eq!(PostingFormat::default(), PostingFormat::V2);
-    }
-
-    #[test]
-    fn dispatching_cursor_and_decode_agree_across_formats() {
-        let list: Vec<Posting> = (0..50).map(|i| p(i, 2, 9)).collect();
-        let rows =
-            [(PostingFormat::V1, v1_row(&list)), (PostingFormat::V2, encode_postings_v2(&list))];
-        for (format, row) in rows {
-            let via_decode = decode_index_row(format, &row).unwrap();
-            assert_eq!(via_decode, list, "{format:?}");
-            let mut cursor = IndexPostingCursor::over(format, Bytes::from(row));
-            assert_eq!(cursor.seek(TraceId(30)).unwrap().unwrap().trace, TraceId(30));
-            let rest: Vec<Posting> = cursor.map(|r| r.unwrap()).collect();
-            assert_eq!(rest.len(), 20, "{format:?}");
-        }
-        assert_eq!(IndexPostingCursor::empty(PostingFormat::V2).count(), 0);
     }
 }

@@ -11,14 +11,13 @@
 //! disk.
 
 use proptest::prelude::*;
-use seqdet_core::postings::{decode_index_row, decode_postings_v2, encode_postings_v2};
+use seqdet_core::decode_postings_v2_into;
+use seqdet_core::postings::{decode_postings_v2, encode_postings_v2};
 use seqdet_core::tables::{
     decode_attrs, decode_counts, decode_events, decode_last_checked, decode_postings, encode_attrs,
     encode_counts, encode_events, encode_last_checked, encode_postings, CountEntry,
     LastCheckedEntry, Posting,
 };
-use seqdet_core::PostingFormat;
-use seqdet_core::{decode_postings_v2_into, DecodeScratch};
 use seqdet_log::{Activity, Attr, AttrEntry, Event, TraceId};
 
 fn events_strategy() -> impl Strategy<Value = Vec<Event>> {
@@ -42,18 +41,6 @@ fn posting_list_strategy() -> impl Strategy<Value = Vec<Posting>> {
     prop::collection::vec((0u32..1000, 0u64..1 << 48, 0u64..1 << 48), 0..300).prop_map(|v| {
         v.into_iter().map(|(t, a, b)| Posting { trace: TraceId(t), ts_a: a, ts_b: b }).collect()
     })
-}
-
-/// Format-dispatching encoder counterpart of [`decode_index_row`]. The
-/// production encoders live on the indexer's write path; this mirrors the
-/// dispatch so the reader's format switch is itself roundtrip-tested.
-fn encode_index_row(format: PostingFormat, postings: &[Posting]) -> Vec<u8> {
-    match format {
-        PostingFormat::V1 => {
-            postings.iter().flat_map(|p| encode_postings(p.trace, &[(p.ts_a, p.ts_b)])).collect()
-        }
-        PostingFormat::V2 => encode_postings_v2(postings),
-    }
 }
 
 /// Appending encoder counterpart of [`decode_postings_v2_into`]: the wide
@@ -109,21 +96,12 @@ proptest! {
     fn postings_v2_into_roundtrip_appends(postings in posting_list_strategy()) {
         let mut row = Vec::new();
         encode_postings_v2_into(&postings, &mut row);
-        let mut scratch = DecodeScratch::new();
         let sentinel = Posting { trace: TraceId(u32::MAX), ts_a: 7, ts_b: 9 };
         let mut out = vec![sentinel];
-        decode_postings_v2_into(&row, &mut scratch, &mut out).unwrap();
+        decode_postings_v2_into(&row, &mut out).unwrap();
         // Appending on both sides: the pre-existing prefix survives.
         prop_assert_eq!(out[0], sentinel);
         prop_assert_eq!(&out[1..], &postings[..]);
-    }
-
-    #[test]
-    fn index_row_roundtrips_under_both_formats(postings in posting_list_strategy()) {
-        for format in [PostingFormat::V1, PostingFormat::V2] {
-            let row = encode_index_row(format, &postings);
-            prop_assert_eq!(&decode_index_row(format, &row).unwrap(), &postings);
-        }
     }
 
     #[test]
@@ -153,9 +131,7 @@ proptest! {
         let _ = decode_events(&row);
         let _ = decode_postings(&row);
         let _ = decode_postings_v2(&row);
-        let _ = decode_postings_v2_into(&row, &mut DecodeScratch::new(), &mut Vec::new());
-        let _ = decode_index_row(PostingFormat::V1, &row);
-        let _ = decode_index_row(PostingFormat::V2, &row);
+        let _ = decode_postings_v2_into(&row, &mut Vec::new());
         let _ = decode_counts(&row);
         let _ = decode_last_checked(&row);
         let _ = decode_attrs(&row);
@@ -200,8 +176,6 @@ fn empty_rows_are_valid_everywhere() {
     assert!(decode_events(&[]).unwrap().is_empty());
     assert!(decode_postings(&[]).unwrap().is_empty());
     assert!(decode_postings_v2(&[]).unwrap().is_empty());
-    assert!(decode_index_row(PostingFormat::V1, &[]).unwrap().is_empty());
-    assert!(decode_index_row(PostingFormat::V2, &[]).unwrap().is_empty());
     assert!(decode_counts(&[]).unwrap().is_empty());
     assert!(decode_last_checked(&[]).unwrap().is_empty());
     assert!(decode_attrs(&[]).unwrap().is_empty());

@@ -1,7 +1,7 @@
 //! Differential property suite for the wide v2 decode kernel.
 //!
-//! The scalar `decode_postings_v2` is the oracle; the branchless and SIMD
-//! kinds of [`v2_decode_with_kind`] must accept *exactly* the rows it
+//! The scalar `decode_postings_v2` is the oracle; the branchless kind of
+//! [`v2_decode_with_kind`] must accept *exactly* the rows it
 //! accepts and produce bit-identical postings. Error *messages* may differ
 //! for multiply-corrupt rows (the fast path can surface a truncation
 //! before the scalar path's trace-range check), so errors are compared as
@@ -25,7 +25,7 @@ use seqdet_core::tables::Posting;
 use seqdet_core::{v2_decode_with_kind, DecodeKind, DecodeScratch};
 use seqdet_log::TraceId;
 
-const KINDS: [DecodeKind; 3] = [DecodeKind::Scalar, DecodeKind::Branchless, DecodeKind::Simd];
+const KINDS: [DecodeKind; 2] = DecodeKind::ALL;
 
 fn mk(postings: Vec<(u32, u64, u64)>) -> Vec<Posting> {
     postings.into_iter().map(|(t, a, b)| Posting { trace: TraceId(t), ts_a: a, ts_b: b }).collect()

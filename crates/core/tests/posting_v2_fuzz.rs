@@ -2,14 +2,12 @@
 //! storage record parser, this feeds hostile bytes — garbage, truncated,
 //! bit-flipped — to every v2 entry point. The decoders run on bytes read
 //! back from disk, so *any* input must produce a typed error (or a valid
-//! decode), never a panic, and the streaming cursor must never yield more
-//! than one error before terminating.
+//! decode), never a panic, and the serving kernel must classify every
+//! input exactly like the scalar oracle.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use seqdet_core::postings::{
-    decode_postings_v2, encode_postings_v2, validate_v2_row, PostingCursorV2, V2_TAG,
-};
+use seqdet_core::decode_postings_v2_into;
+use seqdet_core::postings::{decode_postings_v2, encode_postings_v2, validate_v2_row, V2_TAG};
 use seqdet_core::tables::Posting;
 use seqdet_log::TraceId;
 
@@ -17,16 +15,10 @@ fn postings(n: u32) -> Vec<Posting> {
     (0..n).map(|i| Posting { trace: TraceId(i / 2), ts_a: i as u64, ts_b: i as u64 + 3 }).collect()
 }
 
-/// Drain a cursor, counting decoded postings and errors; panics propagate.
-fn drain(mut c: PostingCursorV2) -> (usize, usize) {
-    let (mut ok, mut err) = (0, 0);
-    for r in &mut c {
-        match r {
-            Ok(_) => ok += 1,
-            Err(_) => err += 1,
-        }
-    }
-    (ok, err)
+/// Decode through the serving kernel; panics propagate.
+fn serve_decode(row: &[u8]) -> Option<Vec<Posting>> {
+    let mut out = Vec::new();
+    decode_postings_v2_into(row, &mut out).ok().map(|()| out)
 }
 
 proptest! {
@@ -44,55 +36,12 @@ proptest! {
     }
 
     /// Arbitrary bytes biased toward the v2 tag (so parses get past the
-    /// header more often): still no panics, and the cursor yields at most
-    /// one error before terminating.
+    /// header more often): still no panics, and the serving kernel agrees
+    /// with the scalar oracle posting for posting.
     #[test]
     fn tagged_garbage_never_panics(mut row in prop::collection::vec(0u8..=255u8, 1..512)) {
         row[0] = V2_TAG;
-        let _ = decode_postings_v2(&row);
-        let (_, errs) = drain(PostingCursorV2::new(Bytes::from(row)));
-        prop_assert!(errs <= 1, "cursor yielded {errs} errors");
-    }
-
-    /// The streaming cursor classifies arbitrary bytes exactly like the
-    /// whole-row decoder: same postings on success, an error (after the
-    /// same valid prefix count or fewer) on failure.
-    #[test]
-    fn cursor_agrees_with_decoder_on_garbage(row in prop::collection::vec(0u8..=255u8, 0..512)) {
-        let (ok, errs) = drain(PostingCursorV2::new(Bytes::from(row.clone())));
-        match decode_postings_v2(&row) {
-            Ok(list) => {
-                // The decoder cross-checks directory first/max keys *after*
-                // decoding a block; the cursor checks them lazily, so the
-                // cursor can only accept more than the decoder, never fewer.
-                prop_assert!(errs <= 1);
-                if errs == 0 {
-                    prop_assert_eq!(ok, list.len());
-                }
-            }
-            Err(_) => prop_assert!(errs <= 1),
-        }
-    }
-
-    /// seek() with arbitrary keys over arbitrary bytes: no panics, no
-    /// over-reads (a slice overrun would panic), and after a seek returns
-    /// None or Err the cursor stays terminated.
-    #[test]
-    fn seek_over_garbage_never_panics(
-        row in prop::collection::vec(0u8..=255u8, 0..512),
-        keys in prop::collection::vec(0u32..=u32::MAX, 1..5),
-    ) {
-        let mut c = PostingCursorV2::new(Bytes::from(row));
-        for &k in &keys {
-            match c.seek(TraceId(k)) {
-                Some(Err(_)) => {
-                    prop_assert!(c.next().is_none(), "cursor kept going after a seek error");
-                    return Ok(());
-                }
-                Some(Ok(p)) => prop_assert!(p.trace.0 >= k),
-                None => {}
-            }
-        }
+        prop_assert_eq!(serve_decode(&row), decode_postings_v2(&row).ok());
     }
 
     /// Truncating a valid row anywhere is safe: a cut on a chunk boundary
@@ -112,7 +61,7 @@ proptest! {
     }
 
     /// Single bit flips anywhere in a valid row never panic, through every
-    /// entry point; the cursor still terminates after at most one error.
+    /// entry point, and the serving kernel still agrees with the oracle.
     #[test]
     fn bit_flips_never_panic(
         n in 1u32..300,
@@ -122,11 +71,7 @@ proptest! {
         let mut row = encode_postings_v2(&postings(n));
         let idx = (row.len() as u64 * byte_ppm as u64 / 1_000_000) as usize % row.len();
         row[idx] ^= 1 << bit;
-        let _ = decode_postings_v2(&row);
         let _ = validate_v2_row(&row);
-        let (_, errs) = drain(PostingCursorV2::new(Bytes::from(row.clone())));
-        prop_assert!(errs <= 1);
-        let mut c = PostingCursorV2::new(Bytes::from(row));
-        let _ = c.seek(TraceId(n / 2));
+        prop_assert_eq!(serve_decode(&row), decode_postings_v2(&row).ok());
     }
 }

@@ -5,15 +5,10 @@
 //! trace-ids, unsorted, extreme timestamps — encoding with
 //! [`encode_postings_v2`] and decoding with [`decode_postings_v2`] must
 //! produce exactly what the v1 decoder produces for the v1 encoding of the
-//! same list. On top of the roundtrip, [`PostingCursorV2::seek`] is pinned
-//! to its contract: from a fresh cursor, `seek(t)` lands on exactly the
-//! first posting in stored order with `trace >= t`, without consuming it.
+//! same list.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use seqdet_core::postings::{
-    decode_postings_v2, encode_postings_v2, validate_v2_row, PostingCursorV2,
-};
+use seqdet_core::postings::{decode_postings_v2, encode_postings_v2, validate_v2_row};
 use seqdet_core::tables::{decode_postings, encode_postings, Posting};
 use seqdet_log::TraceId;
 
@@ -75,56 +70,5 @@ proptest! {
         let row = encode_postings_v2(&postings);
         let validated = validate_v2_row(&row).expect("indexer-shaped rows validate");
         prop_assert_eq!(validated, decode_postings_v2(&row).unwrap());
-    }
-
-    /// From a fresh cursor, `seek(t)` yields exactly the first posting in
-    /// stored order with `trace >= t` (or None), and the following `next()`
-    /// re-yields it — seek positions, it does not consume.
-    #[test]
-    fn seek_lands_on_first_posting_at_or_after_key(
-        postings in arb_postings(),
-        key in 0u32..400,
-    ) {
-        let row = Bytes::from(encode_postings_v2(&postings));
-        let mut c = PostingCursorV2::new(row);
-        let want = postings.iter().find(|p| p.trace.0 >= key).copied();
-        match c.seek(TraceId(key)) {
-            Some(got) => {
-                let got = got.unwrap();
-                prop_assert_eq!(Some(got), want);
-                prop_assert_eq!(c.next().map(|r| r.unwrap()), want);
-            }
-            None => prop_assert_eq!(want, None),
-        }
-    }
-
-    /// Interleaving seeks with iteration never yields a posting out of
-    /// stored order and never rewinds: a full drain after any seek sequence
-    /// is a suffix of the stored list.
-    #[test]
-    fn seeks_never_rewind(
-        postings in arb_postings(),
-        keys in prop::collection::vec(0u32..400, 1..6),
-    ) {
-        let row = Bytes::from(encode_postings_v2(&postings));
-        let mut c = PostingCursorV2::new(row);
-        for &k in &keys {
-            let _ = c.seek(TraceId(k));
-        }
-        let rest: Vec<Posting> = c.map(|r| r.unwrap()).collect();
-        prop_assert!(
-            rest.len() <= postings.len()
-                && rest == postings[postings.len() - rest.len()..],
-            "drain after seeks is not a suffix of the stored list"
-        );
-    }
-
-    /// The cursor and the whole-row decoder agree posting-for-posting.
-    #[test]
-    fn cursor_drain_equals_decode(postings in arb_postings()) {
-        let row = encode_postings_v2(&postings);
-        let drained: Vec<Posting> =
-            PostingCursorV2::new(Bytes::from(row.clone())).map(|r| r.unwrap()).collect();
-        prop_assert_eq!(drained, decode_postings_v2(&row).unwrap());
     }
 }

@@ -23,9 +23,8 @@
 //!
 //! Posting lists are fetched through a [`ReadCtx`]: per `(table, pair)` row
 //! the context first consults the generation-stamped [`PostingCache`], and
-//! only on a miss walks the stored row with the format-dispatching
-//! [`seqdet_core::postings::IndexPostingCursor`] (zero-copy v1 records or
-//! block-decoded v2), collecting the decoded postings into a trace-sorted
+//! only on a miss block-decodes the stored v2 row with the wide kernel
+//! ([`seqdet_core::decode_postings_v2_into`]) into a trace-sorted
 //! [`PostingList`]. Join steps then advance to each partial's trace with
 //! [`PostingList::for_trace`] — a binary-search `seek`, not a hash probe or
 //! scan. The per-trace join itself fans out across the context's
@@ -44,8 +43,7 @@
 use crate::bitmap::{CandidateJoin, TraceBitmap};
 use crate::cache::{PostingCache, PostingList};
 use crate::Result;
-use seqdet_core::postings::IndexPostingCursor;
-use seqdet_core::{PairKey, PostingFormat};
+use seqdet_core::PairKey;
 use seqdet_exec::Executor;
 use seqdet_log::{Activity, Pattern, TraceId, Ts};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
@@ -136,9 +134,6 @@ pub(crate) struct ReadCtx<'a, S: KvStore> {
     pub tables: &'a [TableId],
     pub cache: Option<&'a PostingCache>,
     pub generation: u64,
-    /// Posting row format of the store (sticky per-store config); selects
-    /// the v1 record cursor or the v2 block cursor on a cache miss.
-    pub format: PostingFormat,
     pub metrics: Option<&'a StoreMetrics>,
     pub executor: Executor,
     /// How multi-pattern candidate sets are intersected (bitmap vs probe).
@@ -155,7 +150,6 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
             tables,
             cache: None,
             generation: 0,
-            format: seqdet_core::posting_format(store),
             metrics: None,
             executor: Executor::sequential(),
             candidate_join: CandidateJoin::default(),
@@ -183,7 +177,7 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
 
     fn postings_one(&self, table: TableId, key: PairKey) -> Result<Arc<PostingList>> {
         if let Some(cache) = self.cache {
-            if let Some(list) = cache.get(table, key, self.generation, self.format) {
+            if let Some(list) = cache.get(table, key, self.generation) {
                 return Ok(list);
             }
         }
@@ -194,11 +188,11 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
         Ok(list)
     }
 
-    /// Miss path: decode the stored row into a trace-sorted list. v2 rows
-    /// go through the wide decode kernel
-    /// ([`seqdet_core::decode_postings_v2_into`]) with this worker's
-    /// thread-local scratch, so the only allocation is the escaping list
-    /// itself; v1 rows walk the zero-copy record cursor as before.
+    /// Miss path: decode the stored v2 row into a trace-sorted list
+    /// through the wide decode kernel
+    /// ([`seqdet_core::decode_postings_v2_into`]) into this worker's
+    /// thread-local buffer, so the only allocation is the escaping list
+    /// itself.
     ///
     /// The row fetch goes through [`KvStore::get_checked`], which fuses
     /// the zone-map membership check into the read: a disk store prunes
@@ -206,35 +200,13 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
     /// fetches the row, and the resulting empty list is cached above like
     /// any other miss, so repeats don't re-consult the zone maps.
     fn load(&self, table: TableId, key: PairKey) -> Result<PostingList> {
-        if self.format == PostingFormat::V2 {
-            return self.load_v2(table, key);
-        }
         let Some(row) = self.store.get_checked(table, &seqdet_core::tables::pair_key_bytes(key))
         else {
             return Ok(PostingList::default());
         };
-        let row_len = row.len();
-        let mut postings = Vec::new();
-        for posting in IndexPostingCursor::over(self.format, row) {
-            let p = posting?;
-            postings.push((p.trace, p.ts_a, p.ts_b));
-        }
-        if let Some(m) = self.metrics {
-            m.record_cursor_decode(postings.len());
-            m.record_decoded_bytes(row_len);
-        }
-        Ok(PostingList::from_postings(postings))
-    }
-
-    /// v2 miss path: whole-row block decode through the per-worker arena.
-    fn load_v2(&self, table: TableId, key: PairKey) -> Result<PostingList> {
-        let Some(row) = self.store.get_checked(table, &seqdet_core::tables::pair_key_bytes(key))
-        else {
-            return Ok(PostingList::default());
-        };
-        crate::arena::with_decode_buffers(|scratch, buf| {
+        crate::arena::with_decode_buffer(|buf| {
             // xtask-lint: allow(decoder-boundary): this *is* ReadCtx's miss path — the cached, metered read path the rule directs callers to.
-            seqdet_core::decode_postings_v2_into(&row, scratch, buf)?;
+            seqdet_core::decode_postings_v2_into(&row, buf)?;
             if let Some(m) = self.metrics {
                 m.record_cursor_decode(buf.len());
                 m.record_decoded_bytes(row.len());

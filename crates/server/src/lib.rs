@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | `GET /health` | — | `200 ok` |
 //! | `GET /info` | — | catalog summary (traces, activities) |
-//! | `GET /stats/cache` | — | posting-cache counters (hits, misses, hit rate, evictions, invalidations, residency, per-format hit/miss split, decoded row bytes) |
+//! | `GET /stats/cache` | — | posting-cache counters (hits, misses, hit rate, evictions, invalidations, residency, decoded row bytes) |
 //! | `GET /stats/server` | — | serving-layer counters (requests, status classes, latency percentiles, in-flight, shed) |
 //! | `GET /stats/audit` | — | five-table invariant audit report |
 //! | `POST /query` | a query statement (`DETECT a -> b WITHIN 10` …) | rendered result |

@@ -24,8 +24,9 @@
 //!
 //! `op`: 1 = put, 2 = append, 3 = delete (delete carries an empty value);
 //! 4 = batch begin, 5 = batch commit (both carry table 0, an empty key, and
-//! an 8-byte little-endian batch id); 6 = snapshot marker (table 0, empty
-//! key, empty value). The checksum covers everything after itself.
+//! an 8-byte little-endian batch id). Any other op — including 6, the
+//! snapshot marker of pre-manifest stores — is corruption. The checksum
+//! covers everything after itself.
 //!
 //! ## Batch framing
 //!
@@ -35,9 +36,8 @@
 //! records between a begin and its commit and applies them only at the
 //! commit — an uncommitted suffix (the tail a crash leaves behind) is
 //! discarded, so recovery always lands on a committed-batch boundary.
-//! A commit without its begin, a begin inside an open batch, or a snapshot
-//! marker inside a batch cannot be produced by a crash and are reported as
-//! corruption.
+//! A commit without its begin or a begin inside an open batch cannot be
+//! produced by a crash and is reported as corruption.
 //!
 //! ## Failure model
 //!
@@ -63,9 +63,8 @@
 //! replay may apply: stale segments below the floor are superseded by the
 //! runs and ignored, so a failed post-compaction sweep can never cause a
 //! double replay. A crash mid-compaction leaves only orphan run files and
-//! an ignored `MANIFEST.tmp`. Stores created before the run tier (segments
-//! only, possibly headed by a legacy snapshot-marker record) open
-//! unchanged: no manifest means an empty run set and full-log replay.
+//! an ignored `MANIFEST.tmp`. A store without a manifest opens with an
+//! empty run set and full-log replay.
 
 use crate::codec::{Dec, Enc};
 use crate::crc::crc32;
@@ -91,7 +90,6 @@ const OP_APPEND: u8 = 2;
 const OP_DELETE: u8 = 3;
 const OP_BATCH_BEGIN: u8 = 4;
 const OP_BATCH_COMMIT: u8 = 5;
-const OP_SNAPSHOT: u8 = 6;
 
 /// When the store fsyncs the active segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -276,8 +274,7 @@ impl DiskStore {
     /// [`Coverage::Narrowed`](crate::kv::Coverage) and refuses
     /// compaction/retention until [`DiskStore::repair`] rebuilds the tier.
     /// Without a manifest — a fresh directory or a store from before the
-    /// run tier — every segment is replayed, including legacy
-    /// snapshot-marker handling.
+    /// run tier — every segment is replayed.
     pub fn open_with(dir: impl AsRef<Path>, options: DiskOptions) -> Result<Self, StorageError> {
         let DiskOptions { durability, vfs, metrics, run_flush_bytes, retry, retain_segments } =
             options;
@@ -1130,15 +1127,6 @@ pub fn parse_segment_bytes(
                     };
                 }
             }
-            OP_SNAPSHOT => {
-                if table != 0 || klen != 0 || vlen != 0 {
-                    return SegmentEnd::Corrupt {
-                        records,
-                        offset,
-                        reason: "malformed snapshot record".into(),
-                    };
-                }
-            }
             _ => {
                 return SegmentEnd::Corrupt { records, offset, reason: format!("unknown op {op}") }
             }
@@ -1152,8 +1140,8 @@ pub fn parse_segment_bytes(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentScan {
     /// How the byte-level parse ended. Batch-protocol violations (a commit
-    /// without its begin, a begin inside an open batch, a snapshot marker
-    /// inside a batch) surface here as [`SegmentEnd::Corrupt`].
+    /// without its begin, a begin inside an open batch) surface here as
+    /// [`SegmentEnd::Corrupt`].
     pub end: SegmentEnd,
     /// Batches whose begin *and* commit were replayed.
     pub batches_committed: u64,
@@ -1170,8 +1158,8 @@ type BufferedRecord = (u8, TableId, Vec<u8>, Vec<u8>);
 /// Replay one segment's bytes with batch framing: records between a batch
 /// begin and its commit are buffered and reach `apply` only when the commit
 /// is seen; an uncommitted suffix is discarded (counted, not applied).
-/// `apply` therefore sees only effective records: out-of-batch mutations,
-/// committed-batch mutations, and snapshot markers. Never panics.
+/// `apply` therefore sees only effective mutations (put, append, delete),
+/// out of batch or from committed batches. Never panics.
 pub fn replay_segment_bytes(
     data: &[u8],
     mut apply: impl FnMut(u8, TableId, &[u8], &[u8]),
@@ -1230,17 +1218,6 @@ pub fn replay_segment_bytes(
                     }
                 }
             }
-            OP_SNAPSHOT => {
-                if pending.is_some() {
-                    violation = Some((
-                        processed,
-                        rec_offset,
-                        "snapshot marker inside an open batch".into(),
-                    ));
-                    return;
-                }
-                apply(op, table, key, value);
-            }
             _ => {
                 if let Some((_, buffered)) = pending.as_mut() {
                     buffered.push((op, table, key.to_vec(), value.to_vec()));
@@ -1273,11 +1250,8 @@ fn replay_segment(
             OP_PUT => delta.record_put(table, key, value),
             OP_APPEND => delta.record_append(table, key, value),
             OP_DELETE => delta.record_delete(table, key),
-            // OP_SNAPSHOT: a legacy pre-manifest compaction marker — this
-            // segment supersedes everything replayed so far. (Stores with a
-            // manifest never contain one; their supersession is the
-            // segment floor.)
-            _ => delta.clear_all(),
+            // Batch control records are consumed by the framing above.
+            _ => {}
         }
     });
     match &scan.end {
@@ -1949,26 +1923,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_marker_clears_earlier_segments() {
-        let dir = tmp_dir("snapshot-marker");
-        fs::create_dir_all(&dir).unwrap();
-        // Hand-build the post-compaction layout with a stale old segment
-        // still present (as if the sweep crashed before removing it).
-        let mut seg0 = Vec::new();
-        seg0.extend_from_slice(&encode_record(OP_PUT, T, b"stale", b"old"));
-        seg0.extend_from_slice(&encode_record(OP_PUT, T, b"k", b"old"));
-        fs::write(segment_path(&dir, 0), &seg0).unwrap();
-        let mut seg1 = Vec::new();
-        seg1.extend_from_slice(&encode_record(OP_SNAPSHOT, TableId(0), b"", b""));
-        seg1.extend_from_slice(&encode_record(OP_PUT, T, b"k", b"new"));
-        fs::write(segment_path(&dir, 1), &seg1).unwrap();
-        let s = DiskStore::open(&dir).unwrap();
-        assert!(s.get(T, b"stale").is_none(), "snapshot must clear earlier segments");
-        assert_eq!(s.get(T, b"k").unwrap().as_ref(), b"new");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn leftover_tmp_snapshot_is_ignored_on_open() {
         let dir = tmp_dir("tmp-ignored");
         {
@@ -2071,7 +2025,7 @@ mod tests {
         s.flush().unwrap();
         drop(s);
         // Replay with the old segments still present is correct thanks to
-        // the snapshot marker.
+        // the manifest's segment floor.
         let s = DiskStore::open(&dir).unwrap();
         assert_eq!(s.get(T, b"a").unwrap().as_ref(), b"1");
         assert_eq!(s.get(T, b"b").unwrap().as_ref(), b"2");
@@ -2349,26 +2303,6 @@ mod tests {
         let report = crate::run::verify_runs(&RealFs, &dir).unwrap();
         assert!(report.ok(), "{report:?}");
         assert_eq!(report.orphans, 0, "completed compaction swept crash leftovers");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_snapshot_store_upgrades_to_runs_on_compact() {
-        let dir = tmp_dir("legacy-upgrade");
-        fs::create_dir_all(&dir).unwrap();
-        // A pre-run-tier layout: snapshot-marker segment plus a tail write.
-        let mut seg0 = Vec::new();
-        seg0.extend_from_slice(&encode_record(OP_SNAPSHOT, TableId(0), b"", b""));
-        seg0.extend_from_slice(&encode_record(OP_PUT, T, b"k", b"legacy"));
-        fs::write(segment_path(&dir, 0), &seg0).unwrap();
-        let s = DiskStore::open(&dir).unwrap();
-        assert_eq!(s.num_runs(), 0);
-        assert_eq!(s.get(T, b"k").unwrap().as_ref(), b"legacy");
-        s.compact().unwrap();
-        assert_eq!(s.num_runs(), 1);
-        drop(s);
-        let s = DiskStore::open(&dir).unwrap();
-        assert_eq!(s.get(T, b"k").unwrap().as_ref(), b"legacy");
         fs::remove_dir_all(&dir).unwrap();
     }
 

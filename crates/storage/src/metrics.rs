@@ -227,10 +227,6 @@ pub struct StoreMetrics {
     slow_decodes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    cache_hits_v1: AtomicU64,
-    cache_hits_v2: AtomicU64,
-    cache_misses_v1: AtomicU64,
-    cache_misses_v2: AtomicU64,
     cache_evictions: AtomicU64,
     cache_invalidations: AtomicU64,
     decoded_bytes: AtomicU64,
@@ -296,22 +292,6 @@ impl StoreMetrics {
     /// Record a posting-cache miss.
     pub fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attribute a posting-cache hit to a row format (`v2` selects the
-    /// block-compressed format, otherwise v1). Storage cannot see the core
-    /// crate's `PostingFormat` enum, so the split is a plain flag here; the
-    /// query-side cache records both the total and the attribution.
-    pub fn record_format_cache_hit(&self, v2: bool) {
-        let c = if v2 { &self.cache_hits_v2 } else { &self.cache_hits_v1 };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attribute a posting-cache miss to a row format (see
-    /// [`StoreMetrics::record_format_cache_hit`]).
-    pub fn record_format_cache_miss(&self, v2: bool) {
-        let c = if v2 { &self.cache_misses_v2 } else { &self.cache_misses_v1 };
-        c.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `bytes` of stored posting rows expanded into decoded postings
@@ -437,7 +417,7 @@ impl StoreMetrics {
         self.bytes_written.load(Ordering::Relaxed)
     }
 
-    /// Postings decoded zero-copy through a [`PostingCursor`]-style cursor.
+    /// Postings decoded by cache-miss reads.
     pub fn cursor_decodes(&self) -> u64 {
         self.cursor_decodes.load(Ordering::Relaxed)
     }
@@ -455,26 +435,6 @@ impl StoreMetrics {
     /// Posting-cache misses.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache hits attributed to v1 rows.
-    pub fn cache_hits_v1(&self) -> u64 {
-        self.cache_hits_v1.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache hits attributed to v2 (block-compressed) rows.
-    pub fn cache_hits_v2(&self) -> u64 {
-        self.cache_hits_v2.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache misses attributed to v1 rows.
-    pub fn cache_misses_v1(&self) -> u64 {
-        self.cache_misses_v1.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache misses attributed to v2 (block-compressed) rows.
-    pub fn cache_misses_v2(&self) -> u64 {
-        self.cache_misses_v2.load(Ordering::Relaxed)
     }
 
     /// Bytes of stored posting rows decoded by cache-miss reads.
@@ -590,10 +550,6 @@ impl StoreMetrics {
         self.slow_decodes.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_hits_v1.store(0, Ordering::Relaxed);
-        self.cache_hits_v2.store(0, Ordering::Relaxed);
-        self.cache_misses_v1.store(0, Ordering::Relaxed);
-        self.cache_misses_v2.store(0, Ordering::Relaxed);
         self.cache_evictions.store(0, Ordering::Relaxed);
         self.cache_invalidations.store(0, Ordering::Relaxed);
         self.decoded_bytes.store(0, Ordering::Relaxed);
@@ -640,29 +596,17 @@ mod tests {
     }
 
     #[test]
-    fn per_format_cache_and_decode_counters() {
+    fn cache_and_decode_counters() {
         let m = StoreMetrics::new();
-        m.record_format_cache_hit(false);
-        m.record_format_cache_hit(true);
-        m.record_format_cache_hit(true);
-        m.record_format_cache_miss(false);
-        m.record_format_cache_miss(true);
+        m.record_cache_hit();
+        m.record_cache_hit();
+        m.record_cache_miss();
         m.record_decoded_bytes(100);
         m.record_decoded_bytes(28);
-        assert_eq!(m.cache_hits_v1(), 1);
-        assert_eq!(m.cache_hits_v2(), 2);
-        assert_eq!(m.cache_misses_v1(), 1);
-        assert_eq!(m.cache_misses_v2(), 1);
+        assert_eq!((m.cache_hits(), m.cache_misses()), (2, 1));
         assert_eq!(m.decoded_bytes(), 128);
         m.reset();
-        assert_eq!(
-            m.cache_hits_v1()
-                + m.cache_hits_v2()
-                + m.cache_misses_v1()
-                + m.cache_misses_v2()
-                + m.decoded_bytes(),
-            0
-        );
+        assert_eq!(m.cache_hits() + m.cache_misses() + m.decoded_bytes(), 0);
     }
 
     #[test]

@@ -797,13 +797,6 @@ impl DeltaState {
         self.shard(table, key).write().insert((table, key.into()), DeltaOp::Delete);
     }
 
-    /// Drop every recorded op (legacy snapshot-marker replay).
-    pub fn clear_all(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
-
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
@@ -1224,8 +1217,7 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.tables(), vec![T]);
         assert_eq!(d.entries_for(T).len(), 2);
-        d.clear_all();
-        assert!(d.is_empty());
+        assert!(!d.is_empty());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use seqdet_storage::crc::crc32;
-use seqdet_storage::{parse_segment_bytes, replay_segment_bytes, SegmentEnd, TableId};
+use seqdet_storage::{
+    parse_segment_bytes, replay_segment_bytes, DiskStore, SegmentEnd, StorageError, TableId,
+};
 
 /// Build one wire-format record: `[crc][op][table][klen][vlen][key][value]`.
 fn record(op: u8, table: u8, key: &[u8], value: &[u8]) -> Vec<u8> {
@@ -206,4 +208,38 @@ proptest! {
             SegmentEnd::TornTail { .. } | SegmentEnd::Corrupt { .. } => {}
         }
     }
+}
+
+/// An unknown op is damage, never a skippable record — including op 6, the
+/// snapshot marker of pre-manifest stores, which replay does not accept: a
+/// segment carrying one is refused at open with a typed error.
+#[test]
+fn unknown_ops_are_corruption() {
+    let put = record(1, 0, b"k", b"v");
+    for op in [0u8, 6, 7, 0xFF] {
+        let mut seg = put.clone();
+        seg.extend_from_slice(&record(op, 0, b"", b""));
+        seg.extend_from_slice(&put);
+        let mut applied = 0;
+        let end = parse_segment_bytes(&seg, |_, _, _, _| applied += 1);
+        let reason = format!("unknown op {op}");
+        assert_eq!(end, SegmentEnd::Corrupt { records: 1, offset: put.len(), reason });
+        assert_eq!(applied, 1, "op {op}");
+        assert_eq!(replay_segment_bytes(&seg, |_, _, _, _| {}).end, end);
+    }
+
+    let dir = std::env::temp_dir().join(format!("seqdet-segfuzz-op6-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut seg = record(6, 0, b"", b"");
+    seg.extend_from_slice(&put);
+    std::fs::write(dir.join("seg-000000.log"), &seg).unwrap();
+    match DiskStore::open(&dir) {
+        Err(StorageError::CorruptSegment { offset: 0, reason, .. }) => {
+            assert_eq!(reason, "unknown op 6");
+        }
+        Err(e) => panic!("expected CorruptSegment at offset 0, got {e}"),
+        Ok(_) => panic!("a snapshot-marker segment opened"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -29,8 +29,7 @@
 //! contract: each analysis must fire on its seeded violation and stay
 //! quiet on the clean workspace.
 
-use crate::lexer::{lex, Tok, TokKind};
-use crate::mask::{in_regions, mask_source, test_regions};
+use crate::lexer::{in_regions, lex, mask_via_tokens, test_regions, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 
@@ -550,7 +549,7 @@ struct RawFn {
 /// Extract every function (with sites) from one file into `funcs`.
 pub fn extract_file(rel: &str, crate_name: &str, source: &str, funcs: &mut Vec<Func>) {
     let toks: Vec<Tok> = lex(source).into_iter().filter(|t| t.kind != TokKind::Comment).collect();
-    let masked = mask_source(source);
+    let masked = mask_via_tokens(source);
     let tests = test_regions(&masked);
 
     // Line table.

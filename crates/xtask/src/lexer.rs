@@ -1,5 +1,5 @@
-//! A proper token stream over Rust source — the [`crate::mask`] state
-//! machine grown into a lexer.
+//! A proper token stream over Rust source, and the comment/literal mask
+//! the token lints run on.
 //!
 //! The workspace has no crates.io access, so `syn`/`proc-macro2` are not
 //! options; this is a hand-rolled lexer covering exactly the surface the
@@ -11,11 +11,12 @@
 //! adjacency, which keeps the lexer trivially total: any byte sequence
 //! lexes.
 //!
-//! [`mask_via_tokens`] re-derives the comment/literal mask from the token
-//! stream. It is the *model* implementation the fast byte-wise
-//! [`crate::mask::mask_source`] is property-tested against
-//! (`tests/mask_props.rs`): two independent implementations of the same
-//! masking contract, diffed over generated adversarial sources.
+//! [`mask_via_tokens`] derives the mask from the token stream: a copy of
+//! the source where every byte inside a comment, string literal, raw
+//! string, byte string or char literal is a space (newlines are preserved
+//! so line numbers survive). Attributes, identifiers and punctuation pass
+//! through untouched — exactly the subset the lint rules match on.
+//! [`test_regions`] then marks the test code within a masked file.
 
 /// One lexed token. Offsets are byte indices into the source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,10 +273,10 @@ fn utf8_len(lead: u8) -> usize {
     }
 }
 
-/// Disambiguate `'` into a char literal, a lifetime, or bare punctuation.
-/// Mirrors the decision procedure of [`crate::mask`]: an escape or a
-/// single scalar followed by a closing quote is a char literal; an
-/// identifier start is a lifetime; anything else is punctuation.
+/// Disambiguate `'` into a char literal, a lifetime, or bare punctuation:
+/// an escape or a single scalar followed by a closing quote is a char
+/// literal; an identifier start is a lifetime; anything else is
+/// punctuation.
 fn lex_quote(b: &[u8], i: usize) -> Tok {
     if i + 1 >= b.len() {
         return Tok { kind: TokKind::Punct(b'\''), start: i, end: i + 1 };
@@ -321,12 +322,9 @@ fn lex_quote(b: &[u8], i: usize) -> Tok {
     Tok { kind: TokKind::Punct(b'\''), start: i, end: i + 1 }
 }
 
-/// The model masker: re-derive the comment/literal mask from the token
-/// stream. Comments are blanked wholly; string/char literals keep their
-/// delimiters and blank their interiors; newlines always survive so line
-/// numbers do. [`crate::mask::mask_source`] must produce byte-identical
-/// output — `tests/mask_props.rs` holds that property over generated
-/// sources.
+/// Derive the comment/literal mask from the token stream. Comments are
+/// blanked wholly; string/char literals keep their delimiters and blank
+/// their interiors; newlines always survive so line numbers do.
 pub fn mask_via_tokens(src: &str) -> String {
     let mut out = src.as_bytes().to_vec();
     let blank = |out: &mut [u8], from: usize, to: usize| {
@@ -346,6 +344,51 @@ pub fn mask_via_tokens(src: &str) -> String {
         }
     }
     String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+/// Byte ranges of `source` (masked) that belong to test code: the block
+/// following a `#[cfg(test)]` or `#[test]` attribute. Brace matching runs
+/// on the masked text, so braces in strings/comments cannot desynchronize
+/// it.
+pub fn test_regions(masked: &str) -> Vec<(usize, usize)> {
+    let mut regions = Vec::new();
+    for marker in ["#[cfg(test)]", "#[test]"] {
+        let mut from = 0;
+        while let Some(rel) = masked[from..].find(marker) {
+            let at = from + rel;
+            from = at + marker.len();
+            if let Some(open_rel) = masked[from..].find('{') {
+                let open = from + open_rel;
+                let close = matching_brace(masked.as_bytes(), open);
+                regions.push((at, close));
+            }
+        }
+    }
+    regions.sort_unstable();
+    regions
+}
+
+/// Index just past the brace matching the `{` at `open` (or end of input).
+fn matching_brace(b: &[u8], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, &c) in b.iter().enumerate().skip(open) {
+        match c {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    b.len()
+}
+
+/// True when byte offset `at` falls inside any of `regions`.
+pub fn in_regions(regions: &[(usize, usize)], at: usize) -> bool {
+    regions.iter().any(|&(s, e)| at >= s && at < e)
 }
 
 #[cfg(test)]
@@ -442,25 +485,116 @@ mod tests {
     }
 
     #[test]
-    fn model_mask_matches_hand_mask_on_basics() {
-        for src in [
-            "let x = 1; // calls .unwrap() here\nlet y = 2;",
-            "a /* outer /* inner */ still */ b",
-            r#"call("has .unwrap() and \" quote", x)"#,
-            "let s = br\"panic!()\"; done",
-            "fn f<'a>(x: &'a str) { let c = '{'; }",
-            "let s = \"line one\nline two\";\nafter();",
-        ] {
-            assert_eq!(mask_via_tokens(src), crate::mask::mask_source(src), "src: {src}");
-        }
-    }
-
-    #[test]
     fn numbers_do_not_eat_range_operators() {
         let src = "for i in 0..10 { a[i] = 1.5; }";
         let toks = lex(src);
         let nums: Vec<&str> =
             toks.iter().filter(|t| t.kind == TokKind::Num).map(|t| t.text(src)).collect();
         assert_eq!(nums, vec!["0", "10", "1.5"]);
+    }
+
+    #[test]
+    fn line_comments_are_blanked() {
+        let m = mask_via_tokens("let x = 1; // calls .unwrap() here\nlet y = 2;");
+        assert!(!m.contains("unwrap"));
+        assert!(m.contains("let y = 2;"));
+        assert_eq!(m.lines().count(), 2);
+    }
+
+    #[test]
+    fn nested_block_comments() {
+        let m = mask_via_tokens("a /* outer /* inner */ still comment */ b");
+        assert!(m.starts_with("a "));
+        assert!(m.ends_with(" b"));
+        assert!(!m.contains("inner"));
+        assert!(!m.contains("still"));
+    }
+
+    #[test]
+    fn strings_and_escapes_are_blanked() {
+        let m = mask_via_tokens(r#"call("has .unwrap() and \" quote", x)"#);
+        assert!(!m.contains("unwrap"));
+        assert!(m.contains("call("));
+        assert!(m.contains(", x)"));
+    }
+
+    #[test]
+    fn raw_strings_with_hashes() {
+        let m = mask_via_tokens(r##"let s = r#"panic!("inside")"# ; done"##);
+        assert!(!m.contains("panic"));
+        assert!(m.contains("done"));
+        let m = mask_via_tokens("let s = br\"panic!()\"; done");
+        assert!(!m.contains("panic"));
+    }
+
+    #[test]
+    fn char_literals_masked_but_lifetimes_survive() {
+        let m = mask_via_tokens("fn f<'a>(x: &'a str) { let c = '{'; let e = '\\n'; }");
+        assert!(m.contains("<'a>"), "lifetime mangled: {m}");
+        assert!(m.contains("&'a str"));
+        assert!(!m.contains("'{'"), "char literal survived: {m}");
+        // The masked brace no longer unbalances brace matching.
+        assert_eq!(m.matches('{').count(), 1);
+    }
+
+    #[test]
+    fn escaped_quote_char_literal() {
+        // '\'' must consume the escaped quote and close on the *next* one.
+        let m = mask_via_tokens(r"let q = '\''; after()");
+        assert!(m.contains("after()"), "scan desynced: {m}");
+        assert_eq!(m.len(), r"let q = '\''; after()".len());
+        assert!(!m.contains('\\'), "escape body must be blanked: {m}");
+    }
+
+    #[test]
+    fn ident_tail_r_or_b_is_not_a_literal_prefix() {
+        // The `r` in `attr` / `b` in `sub` must not give the following
+        // string raw-string semantics (escapes would stop working).
+        let m = mask_via_tokens(r#"attr"pa\"nic", sub"un\"wrap", done"#);
+        assert!(!m.contains("pa"), "{m}");
+        assert!(!m.contains("nic"), "{m}");
+        assert!(!m.contains("wrap"), "{m}");
+        assert!(m.contains("done"), "{m}");
+    }
+
+    #[test]
+    fn multiline_strings_preserve_line_numbers() {
+        let src = "let s = \"line one\nline two\";\nafter();";
+        let m = mask_via_tokens(src);
+        assert_eq!(m.lines().count(), src.lines().count());
+        assert!(m.contains("after();"));
+        assert!(!m.contains("line one"));
+    }
+
+    #[test]
+    fn test_region_covers_cfg_test_mod() {
+        let src = "fn prod() { a.unwrap(); }\n#[cfg(test)]\nmod tests {\n fn t() { b.unwrap(); }\n}\nfn tail() {}";
+        let masked = mask_via_tokens(src);
+        let regions = test_regions(&masked);
+        assert_eq!(regions.len(), 1);
+        let prod_at = src.find("a.unwrap").unwrap();
+        let test_at = src.find("b.unwrap").unwrap();
+        let tail_at = src.find("tail").unwrap();
+        assert!(!in_regions(&regions, prod_at));
+        assert!(in_regions(&regions, test_at));
+        assert!(!in_regions(&regions, tail_at));
+    }
+
+    #[test]
+    fn test_attribute_covers_single_fn() {
+        let src = "#[test]\nfn one() { x.unwrap(); }\nfn two() { y.unwrap(); }";
+        let masked = mask_via_tokens(src);
+        let regions = test_regions(&masked);
+        assert!(in_regions(&regions, src.find("x.unwrap").unwrap()));
+        assert!(!in_regions(&regions, src.find("y.unwrap").unwrap()));
+    }
+
+    #[test]
+    fn braces_inside_strings_do_not_desync_regions() {
+        let src = "#[cfg(test)]\nmod tests {\n let s = \"}\";\n fn t() { z.unwrap(); }\n}\nfn prod() { w.unwrap(); }";
+        let masked = mask_via_tokens(src);
+        let regions = test_regions(&masked);
+        assert!(in_regions(&regions, src.find("z.unwrap").unwrap()));
+        assert!(!in_regions(&regions, src.find("w.unwrap").unwrap()));
     }
 }

@@ -1,14 +1,11 @@
 //! Workspace correctness tooling, as a library so the integration tests
-//! (fixture self-tests, mask/lexer property suites) can drive the same
-//! code paths the `cargo xtask` binary does.
+//! (fixture self-tests, mask property suite) can drive the same code paths
+//! the `cargo xtask` binary does.
 //!
 //! Layers, bottom to top:
 //!
-//! * [`mask`] — byte-level masking of comments and literals (the fast path
-//!   the token lints run on).
-//! * [`lexer`] — a proper token stream over Rust source; the model
-//!   implementation the mask is property-tested against, and the substrate
-//!   the extractor reads.
+//! * [`lexer`] — a proper token stream over Rust source: the substrate the
+//!   extractor reads, and the comment/literal mask the token lints run on.
 //! * [`graph`] — item/function extraction and the workspace call graph.
 //! * [`lint`] — file-scoped token lints (no-panic, decoder-boundary, …).
 //! * [`analyze`] — whole-program analyses over the call graph:
@@ -24,5 +21,4 @@ pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod lint;
-pub mod mask;
 pub mod regressions;

@@ -9,10 +9,9 @@
 //!   and the codec additionally decodes untrusted bytes read back from
 //!   disk.
 //! * **decoder-boundary** — `decode_postings` may only be called inside
-//!   `crates/core` (and in test code, where the property-test oracle
-//!   compares it against the zero-copy cursor). Everything else must go
-//!   through `PostingCursor`/`ReadCtx`, which are the cached, metered,
-//!   zero-copy read path.
+//!   `crates/core` (and in test code, where the property-test oracles
+//!   compare decoders). Everything else must go through `ReadCtx`, which
+//!   is the cached, metered read path.
 //! * **no-std-sync-lock** — `std::sync::Mutex`/`RwLock` are banned in the
 //!   query cache stripes, the exec worker code, and the server's
 //!   connection pool/handler: a poisoned or blocking std lock on those
@@ -26,11 +25,10 @@
 //!   encoder.
 //! * **unsafe-needs-safety-comment** — every `unsafe` occurrence in the
 //!   workspace must carry a `// SAFETY:` comment on the same line or in
-//!   the comment run directly above it. The workspace is almost entirely
-//!   safe code (the SIMD decode kernel is the sole exception), so each
-//!   site is individually audited and the total is reported with every
-//!   lint run — an unreviewed creep upward is itself a finding for a
-//!   human.
+//!   the comment run directly above it. The workspace is entirely safe
+//!   code today, so any new site is individually audited and the total is
+//!   reported with every lint run — an unreviewed creep upward is itself a
+//!   finding for a human.
 //!
 //! ## Escape hatch
 //!
@@ -45,7 +43,7 @@
 //! The reason after the second colon is mandatory — an allow without a
 //! written justification is itself reported.
 
-use crate::mask::{in_regions, mask_source, test_regions};
+use crate::lexer::{in_regions, mask_via_tokens, test_regions};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -136,7 +134,7 @@ const TOKEN_RULES: &[TokenRule] = &[
         applies: decoder_scope,
         message: |_| {
             "direct `decode_postings` call outside crates/core; read postings \
-             through PostingCursor / ReadCtx (cached, metered, zero-copy)"
+             through ReadCtx (cached, metered)"
                 .to_owned()
         },
     },
@@ -183,7 +181,7 @@ fn parse_directive(line: &str) -> Option<(&str, &str)> {
 /// forward slashes (rule scoping matches on it).
 pub fn lint_source(rel: &str, source: &str) -> Vec<LintViolation> {
     let mut out = Vec::new();
-    let masked = mask_source(source);
+    let masked = mask_via_tokens(source);
     let regions = test_regions(&masked);
     let lines: Vec<&str> = source.lines().collect();
 
@@ -270,7 +268,7 @@ fn safety_commented(lines: &[&str], line_idx: usize) -> bool {
 /// justification. Test code is *not* exempt — an unsound test block is
 /// still unsound. Returns `(occurrences, violations)`.
 pub fn lint_unsafe(rel: &str, source: &str) -> (usize, Vec<LintViolation>) {
-    let masked = mask_source(source);
+    let masked = mask_via_tokens(source);
     let lines: Vec<&str> = source.lines().collect();
     let mut line_starts = vec![0usize];
     for (i, b) in masked.bytes().enumerate() {
@@ -322,7 +320,7 @@ pub fn lint_codec_roundtrips(
     let mut out = Vec::new();
     let mut codecs = Vec::new();
     for src in codec_srcs {
-        let masked = mask_source(src);
+        let masked = mask_via_tokens(src);
         let mut from = 0;
         while let Some(found) = masked[from..].find("pub fn decode_") {
             let at = from + found + "pub fn decode_".len();
